@@ -79,23 +79,27 @@ func main() {
 		rollbackPen   = flag.Float64("rollback-penalty", 0, "extra blackout charged when a move rolls back, seconds (0 = blackout)")
 		breakerK      = flag.Int("breaker-k", 0, "consecutive failed moves that trip the migration breaker (0 = default 3)")
 		breakerCool   = flag.Int("breaker-cooldown", 0, "epochs the tripped breaker stays open before a half-open probe (0 = default 8)")
-		contendPath   = flag.String("contend-out", "", "write the final contention/migration status as JSON to this file (- = stdout)")
-		auditPath     = flag.String("audit-out", "", "write the conservation auditor's report as JSON to this file (- = stdout)")
 
 		sloOn       = flag.Bool("slo", false, "enable the SLO engine: multi-window burn-rate alerts over a deterministic time-series store")
 		sloWindow   = flag.Float64("slo-window", 0, "SLO evaluation-epoch length, seconds (0 = 0.5, or the -contend-window with -migrate)")
 		sloBoost    = flag.Int("slo-boost", 0, "extra per-epoch migration budget while the QoS burn alert fires (needs -migrate)")
-		alertsPath  = flag.String("alerts-out", "", "write the alert log (every SLO lifecycle transition) as JSON to this file (- = stdout)")
-		tsdbPath    = flag.String("tsdb-out", "", "write the full time-series store as JSON to this file (- = stdout)")
 		postmortDir = flag.String("postmortem-dir", "", "write each frozen postmortem bundle as JSON into this directory")
 
-		metricsPath = flag.String("metrics", "", "write the cluster telemetry rollup in Prometheus text format to this file (- = stdout)")
-		tracePath   = flag.String("trace", "", "write the merged event trace as JSONL to this file (- = stdout)")
-		spansPath   = flag.String("spans", "", "write the merged spans + events as Chrome trace-event JSON (Perfetto-loadable) to this file (- = stdout)")
-		profilePath = flag.String("profile", "", "write the fleet deep profile as folded stacks (flamegraph/speedscope input) to this file (- = stdout)")
-		serveAddr   = flag.String("serve", "", "serve /metrics, /trace, /profile, /slo, /alerts, /postmortem, /healthz (plus /debug/pprof) on this address during and after the run, e.g. :8080")
 		scrapeevery = flag.Int("scrape-interval", 0, "live-publisher snapshot deposit interval in scheduler quanta for -serve (0 = default 64)")
 	)
+	// The export table supplies every output-file flag and the -serve
+	// route list.
+	outPaths := make(map[string]*string)
+	var routes []string
+	for _, e := range fleet.Exports {
+		if e.Name != "" {
+			outPaths[e.Name] = flag.String(e.Name, "", e.Usage)
+		}
+		if e.Route != "" {
+			routes = append(routes, e.Route)
+		}
+	}
+	serveAddr := flag.String("serve", "", "serve "+strings.Join(routes, ", ")+" (plus /debug/pprof) on this address during and after the run, e.g. :8080")
 	flag.Parse()
 
 	mix, ok := datacenter.MixByName(*mixName)
@@ -160,7 +164,7 @@ func main() {
 	}
 
 	var sc *fleet.SLOConfig
-	if *sloOn || *alertsPath != "" || *tsdbPath != "" || *postmortDir != "" {
+	if *sloOn || *outPaths["alerts-out"] != "" || *outPaths["tsdb-out"] != "" || *postmortDir != "" {
 		sc = &fleet.SLOConfig{
 			WindowSeconds: *sloWindow,
 			BoostBudget:   *sloBoost,
@@ -203,7 +207,7 @@ func main() {
 		if err != nil {
 			failErr(err)
 		}
-		fmt.Printf("serving /metrics /trace /profile /contend /audit /slo /alerts /postmortem /healthz on %s\n", ln.Addr())
+		fmt.Printf("serving %s on %s\n", strings.Join(routes, " "), ln.Addr())
 		go func() {
 			if err := http.Serve(ln, f.Handler()); err != nil {
 				fail("serve: %v", err)
@@ -261,68 +265,11 @@ func main() {
 	}
 	fmt.Printf("\n[%d servers simulated in %.1fs]\n", m.Servers, time.Since(start).Seconds())
 
-	tel := f.Telemetry()
-	if *metricsPath != "" {
-		if err := writeExport(*metricsPath, tel.WritePrometheus); err != nil {
-			failErr(err)
+	for _, e := range fleet.Exports {
+		if e.Name == "" || *outPaths[e.Name] == "" {
+			continue
 		}
-	}
-	if *tracePath != "" {
-		if err := writeExport(*tracePath, tel.WriteJSONL); err != nil {
-			failErr(err)
-		}
-	}
-	if *spansPath != "" {
-		if err := writeExport(*spansPath, tel.WriteChromeTrace); err != nil {
-			failErr(err)
-		}
-	}
-	if *profilePath != "" {
-		if err := writeExport(*profilePath, f.WriteProfile); err != nil {
-			failErr(err)
-		}
-	}
-	if *contendPath != "" {
-		err := writeExport(*contendPath, func(w io.Writer) error {
-			st := f.ContendStatus()
-			if st == nil {
-				_, err := io.WriteString(w, "{\"epoch\": 0}\n")
-				return err
-			}
-			return st.WriteJSON(w)
-		})
-		if err != nil {
-			failErr(err)
-		}
-	}
-	if *auditPath != "" {
-		err := writeExport(*auditPath, func(w io.Writer) error {
-			rep := f.AuditReport()
-			if rep == nil {
-				_, err := io.WriteString(w, "{\"epochs_checked\": 0}\n")
-				return err
-			}
-			return rep.WriteJSON(w)
-		})
-		if err != nil {
-			failErr(err)
-		}
-	}
-	if *alertsPath != "" {
-		err := writeExport(*alertsPath, func(w io.Writer) error {
-			if s := f.AlertLogJSON(); s != "" {
-				_, err := io.WriteString(w, s)
-				return err
-			}
-			_, err := io.WriteString(w, "{\"fired\": 0}\n")
-			return err
-		})
-		if err != nil {
-			failErr(err)
-		}
-	}
-	if *tsdbPath != "" {
-		if err := writeExport(*tsdbPath, f.WriteTSDB); err != nil {
+		if err := writeExport(*outPaths[e.Name], func(w io.Writer) error { return e.Write(f, w) }); err != nil {
 			failErr(err)
 		}
 	}

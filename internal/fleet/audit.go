@@ -85,6 +85,9 @@ type AuditReport struct {
 func (r *AuditReport) Clean() bool { return len(r.Violations) == 0 }
 
 func (r *AuditReport) clone() *AuditReport {
+	if r == nil {
+		return nil
+	}
 	c := *r
 	c.Epochs = append([]AuditEpoch(nil), r.Epochs...)
 	c.Violations = append([]AuditViolation(nil), r.Violations...)
@@ -123,29 +126,11 @@ func (r *AuditReport) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// publishAudit deposits a report snapshot for /audit and AuditReport.
-func (f *Fleet) publishAudit(r *AuditReport) {
-	f.contendMu.Lock()
-	f.auditStat = r
-	f.contendMu.Unlock()
-}
-
-// AuditReport returns the conservation auditor's latest published report
-// (nil before the first decision epoch, or when migration is off). Safe to
-// call from any goroutine; the returned copy is the caller's.
-func (f *Fleet) AuditReport() *AuditReport {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	if f.auditStat == nil {
-		return nil
-	}
-	return f.auditStat.clone()
-}
-
 // auditor accumulates the report across epoch barriers. All state is
 // touched only in the single-threaded coordinator sections.
 type auditor struct {
 	sims []*serverSim
+	tel  *telemetry.Registry
 	rep  AuditReport
 
 	// Per-server monotonicity marks from the previous barrier.
@@ -163,6 +148,7 @@ type auditor struct {
 func newAuditor(f *Fleet, sims []*serverSim) *auditor {
 	a := &auditor{
 		sims:      sims,
+		tel:       f.tel,
 		prevNow:   make([]uint64, len(sims)),
 		prevInsts: make([]uint64, len(sims)),
 	}
@@ -192,9 +178,13 @@ func (a *auditor) violate(ep *AuditEpoch, kind string, server int, format string
 	ep.Violations++
 }
 
-// check sweeps the fleet at one epoch barrier. lost/mig/fail are the live
-// counter values to cross-check against the move records.
-func (a *auditor) check(epoch int, t float64, lost, mig, fail uint64) {
+// check is the auditor's barrier step: it sweeps the fleet at one epoch
+// barrier (and once more at the horizon) and cross-checks the live
+// migration counters against the move records.
+func (a *auditor) check(epoch int, t float64) {
+	lost := a.tel.CounterValue("contend", "migration_quanta_lost_total")
+	mig := a.tel.CounterValue("contend", "migrations_total")
+	fail := a.tel.CounterValue("contend", "moves_failed_total")
 	a.lastEpoch = epoch
 	ep := AuditEpoch{Epoch: epoch, AtSeconds: t}
 	for i, s := range a.sims {

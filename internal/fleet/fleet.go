@@ -29,7 +29,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/progbin"
 	"repro/internal/sampling"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -192,14 +191,30 @@ func (c Config) withDefaults() Config {
 		c.Migration = &mg
 	}
 	if c.SLO != nil {
-		// After Migration's defaults: the SLO window rides its barriers.
-		sc := c.SLO.withDefaults(c)
+		sc := c.SLO.withDefaults()
+		if c.Migration != nil {
+			// One epoch clock per run: the SLO engine rides the migration
+			// barriers.
+			sc.WindowSeconds = c.Migration.WindowSeconds
+		}
 		c.SLO = &sc
 	}
 	if c.ScrapeIntervalQuanta <= 0 {
 		c.ScrapeIntervalQuanta = publishEveryQuanta
 	}
 	return c
+}
+
+// epochSeconds is the decision-epoch length, 0 when no barrier step is
+// configured (withDefaults gives Migration and SLO the same window).
+func (c Config) epochSeconds() float64 {
+	switch {
+	case c.Migration != nil:
+		return c.Migration.WindowSeconds
+	case c.SLO != nil:
+		return c.SLO.WindowSeconds
+	}
+	return 0
 }
 
 func (c Config) validate() error {
@@ -412,24 +427,16 @@ type Fleet struct {
 	serverProf []map[string]*sampling.DeepProfile
 	// live is the scrape surface state; non-nil once Handler was called.
 	live *liveState
-	// contendMu guards contendStat, the migration control loop's latest
-	// published snapshot (served at /contend, exported after Run).
-	contendMu   sync.Mutex
-	contendStat *ContendStatus
-	// audit is the conservation auditor (non-nil once the migration epoch
-	// loop starts); auditStat is its latest published snapshot, guarded by
-	// contendMu like contendStat (served at /audit, returned by
-	// AuditReport).
-	audit     *auditor
-	auditStat *AuditReport
-	// sloObs is the SLO observer (non-nil once the epoch loop starts with
-	// Config.SLO set); the rendered snapshots below are its per-barrier
-	// publications, guarded by contendMu (served at /slo, /alerts,
-	// /postmortem).
-	sloObs       *sloObserver
-	sloStatJSON  string
-	alertLogJSON string
-	sloBundles   []*slo.Bundle
+	// The barrier steps, non-nil once runEpochs starts with their Config
+	// section set: the migration coordinator and its conservation auditor
+	// (Migration), and the SLO observer (SLO).
+	mig    *migrator
+	audit  *auditor
+	sloObs *sloObserver
+	// snap is the steps' state as published at the latest barrier, guarded
+	// by snapMu: the export table serves it and the accessors copy it.
+	snapMu sync.Mutex
+	snap   controlSnapshot
 }
 
 // New validates the configuration and builds a fleet.
@@ -452,10 +459,6 @@ func (f *Fleet) Telemetry() *telemetry.Registry { return f.tel }
 
 // Placement returns instance → server index (valid after Run).
 func (f *Fleet) Placement() []int { return f.placement }
-
-// Instances returns the placed batch instances with their measured
-// pressures (valid after Run).
-func (f *Fleet) Instances() []Instance { return f.instances }
 
 // serverSeed mixes the fleet seed with a server index (splitmix64-style)
 // so each machine gets a distinct, reproducible address-stream seed.
@@ -561,13 +564,13 @@ func (f *Fleet) Run() (Metrics, error) {
 		return Metrics{}, err
 	}
 	horizon := f.cfg.SettleSeconds + f.cfg.MeasureSeconds
-	if f.cfg.Migration != nil || f.cfg.SLO != nil {
+	if window := f.cfg.epochSeconds(); window > 0 {
 		// Advance the fleet in decision epochs: every server stops at the
 		// epoch boundary, the (single-threaded) coordinator reads counters,
 		// applies migrations and evaluates SLOs, then the next epoch
 		// begins. Decisions are pure functions of (seed, epoch counters),
 		// so the segmented timeline is bit-identical at any worker count.
-		err = f.runEpochs(sims, horizon, &plan)
+		err = f.runEpochs(sims, horizon, window, &plan)
 	} else {
 		err = f.forEach(f.cfg.Servers, func(i int) error {
 			return sims[i].advanceTo(horizon)
@@ -589,11 +592,8 @@ func (f *Fleet) Run() (Metrics, error) {
 		// Final sweep at the horizon: every pending arrival on a live
 		// server has landed by now, so the census reduces to hosted +
 		// stranded-on-dead and must still conserve the placed population.
-		f.audit.check(f.audit.lastEpoch+1, horizon,
-			f.tel.CounterValue("contend", "migration_quanta_lost_total"),
-			f.tel.CounterValue("contend", "migrations_total"),
-			f.tel.CounterValue("contend", "moves_failed_total"))
-		f.publishAudit(f.audit.rep.clone())
+		f.audit.check(f.audit.lastEpoch+1, horizon)
+		f.publish()
 	}
 	// Merge in server-index order: the rollup's sums, histogram buckets and
 	// trace are then independent of worker interleaving.
@@ -605,20 +605,19 @@ func (f *Fleet) Run() (Metrics, error) {
 
 // runEpochs drives the shared decision-epoch loop: every server advances
 // to the barrier across the worker pool, then the single-threaded
-// coordinator section runs — first the migration step (when on), then the
-// SLO step (when on), which therefore observes the epoch's moves. The two
-// always share one epoch clock; with migration on, its window wins (see
-// SLOConfig.withDefaults).
-func (f *Fleet) runEpochs(sims []*serverSim, horizon float64, plan *chaosPlan) error {
-	var g *migrator
-	window := 0.0
+// coordinator runs the ordered barrier steps — migrator, auditor, SLO
+// observer, each only when configured — so every step observes the ones
+// before it, and the steps' state is published as one snapshot.
+func (f *Fleet) runEpochs(sims []*serverSim, horizon, window float64, plan *chaosPlan) error {
+	var steps []func(e int, t float64)
 	if f.cfg.Migration != nil {
-		g = f.newMigrator(sims, horizon, plan)
-		window = g.mc.WindowSeconds
+		f.audit = newAuditor(f, sims)
+		f.mig = f.newMigrator(sims, horizon, plan)
+		steps = append(steps, f.mig.barrier, f.audit.check)
 	}
 	if f.cfg.SLO != nil {
 		f.sloObs = f.newSLOObserver(sims, horizon)
-		window = f.cfg.SLO.WindowSeconds
+		steps = append(steps, f.sloObs.barrier)
 	}
 	n := len(sims)
 	for e := 1; ; e++ {
@@ -631,14 +630,10 @@ func (f *Fleet) runEpochs(sims []*serverSim, horizon float64, plan *chaosPlan) e
 		if err := f.forEach(n, func(i int) error { return sims[i].advanceTo(t) }); err != nil {
 			return err
 		}
-		if g != nil {
-			if err := g.barrier(e, t); err != nil {
-				return err
-			}
+		for _, step := range steps {
+			step(e, t)
 		}
-		if f.sloObs != nil {
-			f.sloObs.barrier(e, t)
-		}
+		f.publish()
 	}
 	return nil
 }

@@ -117,10 +117,9 @@ func TestFleetPlacementRespectsPolicy(t *testing.T) {
 	if len(placement) != 3 {
 		t.Fatalf("placement = %v", placement)
 	}
-	instances := f.Instances()
 	// Recompute the expected assignment from the published slots and
 	// measured pressures.
-	want := ContentionAware{}.Place(instances, f.slots)
+	want := ContentionAware{}.Place(f.instances, f.slots)
 	if !reflect.DeepEqual(placement, want) {
 		t.Fatalf("placement %v does not match policy output %v", placement, want)
 	}

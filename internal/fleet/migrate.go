@@ -21,10 +21,11 @@
 //  5. asks the planner for up to the admitted budget of moves, executing
 //     each as a transaction: prepare → detach → blackout → land. A landing
 //     that fails (seeded fault, or the destination crashed during the
-//     blackout) deterministically retries the next eligible destination
-//     under capped backoff; when every attempt fails the move rolls back
-//     to its source with an extra blackout penalty. An instance is never
-//     lost and never runs twice.
+//     blackout or was taken by an earlier decision of the same barrier)
+//     deterministically retries the next eligible destination under
+//     capped backoff; when every attempt fails the move rolls back to its
+//     source with an extra blackout penalty. An instance is never lost
+//     and never runs twice.
 //
 // Every decision is a pure function of (seed, epoch counters), so runs
 // are bit-identical at any -workers, and every decision leaves a trail:
@@ -169,6 +170,9 @@ type ContendStatus struct {
 }
 
 func (st *ContendStatus) clone() *ContendStatus {
+	if st == nil {
+		return nil
+	}
 	c := *st
 	c.Servers = append([]contend.State(nil), st.Servers...)
 	c.Moves = append([]MoveRecord(nil), st.Moves...)
@@ -216,26 +220,6 @@ func (st *ContendStatus) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// publishContend deposits a snapshot for /contend and ContendStatus.
-func (f *Fleet) publishContend(st *ContendStatus) {
-	c := st.clone()
-	f.contendMu.Lock()
-	f.contendStat = c
-	f.contendMu.Unlock()
-}
-
-// ContendStatus returns the migration control loop's latest published
-// snapshot (nil before the first decision epoch, or when migration is
-// off). Safe to call from any goroutine.
-func (f *Fleet) ContendStatus() *ContendStatus {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	if f.contendStat == nil {
-		return nil
-	}
-	return f.contendStat.clone()
-}
-
 // migrator is the per-run state of the decision-epoch coordinator. All of
 // it is touched only in the single-threaded coordinator sections between
 // epochs, so every decision is a pure function of (seed, epoch counters).
@@ -246,7 +230,6 @@ type migrator struct {
 	sims    []*serverSim
 	det     *contend.Detector
 	brk     *contend.Breaker
-	aud     *auditor
 	plan    *chaosPlan
 	status  *ContendStatus
 	horizon float64
@@ -273,10 +256,14 @@ func (g *migrator) cyc(sec float64) uint64 { return uint64(sec * g.freq) }
 // quanta converts a blackout duration to lost batch quanta.
 func (g *migrator) quanta(sec float64) uint64 { return uint64(sec*g.freq) / g.quantum }
 
-// alive reports whether server i is up at barrier time t.
-func (g *migrator) alive(i int, t float64) bool {
+// free reports whether server i can accept an instance landing at time
+// land: still up then, hosting nothing and with nothing inbound. Every
+// destination choice re-checks it at landing time, because an earlier
+// decision in the same barrier (a re-placement, a landing, a rollback) may
+// have taken a server that was free when the epoch's plan was made.
+func (g *migrator) free(i int, land float64) bool {
 	s := g.sims[i]
-	return !s.res.Crashed || t < s.stop
+	return land < s.stop && s.host == nil && len(s.pending) == 0
 }
 
 // emitBreaker records a breaker transition on the fleet-scope trace.
@@ -319,136 +306,127 @@ func (f *Fleet) newMigrator(sims []*serverSim, horizon float64, plan *chaosPlan)
 		lastDelivered: make([]contend.Sample, n),
 		handledDead:   make([]bool, n),
 	}
-	g.aud = newAuditor(f, sims)
-	f.audit = g.aud
 	return g
 }
 
 // barrier is the coordinator's single-threaded epoch step; runEpochs calls
 // it after every server has advanced to the barrier. Index order,
 // deterministic.
-func (g *migrator) barrier(e int, t float64) error {
+func (g *migrator) barrier(e int, t float64) {
 	n := len(g.sims)
-	{
-		g.replaceDead(t)
-		samples, corruptEpoch := g.sample(e, t)
-		verdicts := g.det.Observe(samples)
-		states := g.det.States()
-		for i, st := range states {
-			if st.FlippedAt == g.det.Epoch() {
-				v := 0.0
-				if st.Contended {
-					v = 1
-				}
-				g.sims[i].reg.Emit(telemetry.Event{
-					At: g.sims[i].m.Now(), Kind: telemetry.EvContended,
-					Value: v, Detail: telemetry.FormatFloat(st.Score),
+	g.replaceDead(t)
+	samples, corruptEpoch := g.sample(e, t)
+	verdicts := g.det.Observe(samples)
+	states := g.det.States()
+	for i, st := range states {
+		if st.FlippedAt == g.det.Epoch() {
+			v := 0.0
+			if st.Contended {
+				v = 1
+			}
+			g.sims[i].reg.Emit(telemetry.Event{
+				At: g.sims[i].m.Now(), Kind: telemetry.EvContended,
+				Value: v, Detail: telemetry.FormatFloat(st.Score),
+			})
+		}
+	}
+	g.gCont.Set(float64(g.det.Contended()))
+
+	// Breaker epoch advance: cooldown countdown, then the corrupt-epoch
+	// trip — decisions made from corrupted counters can't be trusted.
+	prevState := g.brk.State()
+	g.brk.BeginEpoch()
+	if g.brk.State() != prevState {
+		g.emitBreaker(t, "cooldown")
+	}
+	if corruptEpoch {
+		preTrips := g.brk.Trips()
+		g.brk.TripCorrupt()
+		if g.brk.Trips() != preTrips {
+			g.cTrip.Inc()
+			g.emitBreaker(t, "corrupt")
+		}
+	}
+	g.gBreaker.Set(float64(g.brk.State()))
+
+	// The breaker admits moves; a firing QoS burn alert (previous
+	// epoch's evaluation — the SLO step runs after this one) raises
+	// the admitted budget so the control loop reacts harder while the
+	// fleet burns error budget. The breaker still gates everything: an
+	// open breaker admits zero moves, boost or not.
+	budget := g.brk.Budget(g.mc.BudgetPerEpoch)
+	if budget > 0 {
+		budget += g.f.boostBudget()
+	}
+	spDecide := g.f.tel.StartSpan("contend.decide", g.cyc(t), 0)
+	g.f.tel.SpanAttrs(spDecide,
+		telemetry.Num("epoch", float64(g.det.Epoch())),
+		telemetry.Num("contended", float64(g.det.Contended())),
+		telemetry.Num("budget", float64(budget)))
+	var moves []contend.Move
+	g.spares = nil
+	if budget > 0 && t+g.mc.BlackoutSeconds < g.horizon {
+		var cands []contend.Candidate
+		targets := make([]contend.Target, 0, n)
+		for i, s := range g.sims {
+			alive := t < s.stop
+			if verdicts[i] && alive && s.host != nil {
+				cands = append(cands, contend.Candidate{
+					Server: i, App: s.hostApp, Score: g.f.cal.pressure[s.hostApp],
 				})
 			}
+			targets = append(targets, contend.Target{
+				Server: i, Load: samples[i].Util,
+				Eligible: samples[i].Valid && !verdicts[i] && g.free(i, t),
+			})
 		}
-		g.gCont.Set(float64(g.det.Contended()))
-
-		// Breaker epoch advance: cooldown countdown, then the corrupt-epoch
-		// trip — decisions made from corrupted counters can't be trusted.
-		prevState := g.brk.State()
-		g.brk.BeginEpoch()
-		if g.brk.State() != prevState {
-			g.emitBreaker(t, "cooldown")
+		moves = contend.PlanMoves(g.mc.Detector.Seed, cands, targets, budget)
+		// The ordered eligible targets not consumed by the plan are the
+		// retry fallbacks, in the same preference order.
+		ordered := contend.OrderTargets(g.mc.Detector.Seed, targets)
+		if len(moves) < len(ordered) {
+			g.spares = ordered[len(moves):]
 		}
-		if corruptEpoch {
-			preTrips := g.brk.Trips()
-			g.brk.TripCorrupt()
+	}
+	for _, mv := range moves {
+		outcome := g.executeMove(mv, e, t, spDecide)
+		preState, preTrips := g.brk.State(), g.brk.Trips()
+		switch {
+		case outcome > 0:
+			g.brk.RecordSuccess()
+			if g.brk.State() != preState {
+				g.emitBreaker(t, "probe-ok")
+			}
+		case outcome < 0:
+			g.brk.RecordFailure()
 			if g.brk.Trips() != preTrips {
 				g.cTrip.Inc()
-				g.emitBreaker(t, "corrupt")
-			}
-		}
-		g.gBreaker.Set(float64(g.brk.State()))
-
-		// The breaker admits moves; a firing QoS burn alert (previous
-		// epoch's evaluation — the SLO step runs after this one) raises
-		// the admitted budget so the control loop reacts harder while the
-		// fleet burns error budget. The breaker still gates everything: an
-		// open breaker admits zero moves, boost or not.
-		budget := g.brk.Budget(g.mc.BudgetPerEpoch)
-		if budget > 0 {
-			budget += g.f.boostBudget()
-		}
-		spDecide := g.f.tel.StartSpan("contend.decide", g.cyc(t), 0)
-		g.f.tel.SpanAttrs(spDecide,
-			telemetry.Num("epoch", float64(g.det.Epoch())),
-			telemetry.Num("contended", float64(g.det.Contended())),
-			telemetry.Num("budget", float64(budget)))
-		var moves []contend.Move
-		g.spares = nil
-		if budget > 0 && t+g.mc.BlackoutSeconds < g.horizon {
-			var cands []contend.Candidate
-			targets := make([]contend.Target, 0, n)
-			for i, s := range g.sims {
-				alive := t < s.stop
-				if verdicts[i] && alive && s.host != nil {
-					cands = append(cands, contend.Candidate{
-						Server: i, App: s.hostApp, Score: g.f.cal.pressure[s.hostApp],
-					})
+				cause := "failures"
+				if preState == contend.BreakerHalfOpen {
+					cause = "probe-fail"
 				}
-				targets = append(targets, contend.Target{
-					Server: i, Load: samples[i].Util,
-					Eligible: alive && samples[i].Valid && !verdicts[i] &&
-						s.host == nil && len(s.pending) == 0,
-				})
-			}
-			moves = contend.PlanMoves(g.mc.Detector.Seed, cands, targets, budget)
-			// The ordered eligible targets not consumed by the plan are the
-			// retry fallbacks, in the same preference order.
-			ordered := contend.OrderTargets(g.mc.Detector.Seed, targets)
-			if len(moves) < len(ordered) {
-				g.spares = ordered[len(moves):]
+				g.emitBreaker(t, cause)
 			}
 		}
-		for _, mv := range moves {
-			outcome := g.executeMove(mv, e, t, spDecide)
-			preState, preTrips := g.brk.State(), g.brk.Trips()
-			switch {
-			case outcome > 0:
-				g.brk.RecordSuccess()
-				if g.brk.State() != preState {
-					g.emitBreaker(t, "probe-ok")
-				}
-			case outcome < 0:
-				g.brk.RecordFailure()
-				if g.brk.Trips() != preTrips {
-					g.cTrip.Inc()
-					cause := "failures"
-					if preState == contend.BreakerHalfOpen {
-						cause = "probe-fail"
-					}
-					g.emitBreaker(t, cause)
-				}
-			}
-		}
-		g.gBreaker.Set(float64(g.brk.State()))
-		g.f.tel.EndSpan(spDecide, g.cyc(t))
-
-		st := g.status
-		st.Epoch = g.det.Epoch()
-		st.AtSeconds = t
-		st.EnterThreshold, st.ExitThreshold = g.det.Thresholds()
-		st.Contended = g.det.Contended()
-		st.Migrations = g.cMig.Value()
-		st.QuantaLost = g.cLost.Value()
-		st.MovesFailed = g.cFail.Value()
-		st.Rollbacks = g.cRoll.Value()
-		st.Retries = g.cRetry.Value()
-		st.CorruptSamples = g.cCorrupt.Value()
-		st.StaleSamples = g.cStale.Value()
-		st.BreakerState = g.brk.State().String()
-		st.BreakerTrips = uint64(g.brk.Trips())
-		st.Servers = states
-		g.f.publishContend(st)
-		g.aud.check(g.det.Epoch(), t, g.cLost.Value(), g.cMig.Value(), g.cFail.Value())
-		g.f.publishAudit(g.aud.rep.clone())
 	}
-	return nil
+	g.gBreaker.Set(float64(g.brk.State()))
+	g.f.tel.EndSpan(spDecide, g.cyc(t))
+
+	st := g.status
+	st.Epoch = g.det.Epoch()
+	st.AtSeconds = t
+	st.EnterThreshold, st.ExitThreshold = g.det.Thresholds()
+	st.Contended = g.det.Contended()
+	st.Migrations = g.cMig.Value()
+	st.QuantaLost = g.cLost.Value()
+	st.MovesFailed = g.cFail.Value()
+	st.Rollbacks = g.cRoll.Value()
+	st.Retries = g.cRetry.Value()
+	st.CorruptSamples = g.cCorrupt.Value()
+	st.StaleSamples = g.cStale.Value()
+	st.BreakerState = g.brk.State().String()
+	st.BreakerTrips = uint64(g.brk.Trips())
+	st.Servers = states
 }
 
 // replaceDead is the cluster scheduler's dynamic reaction: servers that
@@ -491,8 +469,8 @@ func (g *migrator) replaceDead(t float64) {
 			continue
 		}
 		target := -1
-		for j, s := range g.sims {
-			if j != v.idx && land < s.stop && s.host == nil && len(s.pending) == 0 {
+		for j := range g.sims {
+			if g.free(j, land) {
 				target = j
 				break
 			}
@@ -519,7 +497,7 @@ func (g *migrator) sample(e int, t float64) (samples []contend.Sample, corruptEp
 	samples = make([]contend.Sample, len(g.sims))
 	for i, s := range g.sims {
 		raw := s.contendSample()
-		if !g.alive(i, t) || t >= s.stop {
+		if t >= s.stop {
 			g.det.Evict(i)
 			samples[i] = contend.Sample{}
 			g.lastDelivered[i] = contend.Sample{}
@@ -547,16 +525,13 @@ func (g *migrator) sample(e int, t float64) (samples []contend.Sample, corruptEp
 	return samples, corruptEpoch
 }
 
-// takeSpare pops the next fallback destination still alive at the landing
-// time and still free, in planner preference order. Freshness is
-// re-checked at take time: an earlier move's rollback may have landed on a
-// server that was spare at decision time.
+// takeSpare pops the next fallback destination still free at the landing
+// time, in planner preference order.
 func (g *migrator) takeSpare(land float64) (int, bool) {
 	for len(g.spares) > 0 {
 		tgt := g.spares[0]
 		g.spares = g.spares[1:]
-		s := g.sims[tgt.Server]
-		if land < s.stop && s.host == nil && len(s.pending) == 0 {
+		if g.free(tgt.Server, land) {
 			return tgt.Server, true
 		}
 	}
@@ -620,8 +595,8 @@ func (g *migrator) executeMove(mv contend.Move, epoch int, t float64, spDecide t
 		rec.Attempts = attempt
 		land := t + dur
 		landFault := ch != nil && ch.MoveLandFails(dst, seq, attempt)
-		if !landFault && land < g.sims[dst].stop {
-			// Landed: the destination is alive at landing and accepted it.
+		if !landFault && g.free(dst, land) {
+			// Landed: the destination is free at landing and accepted it.
 			g.sims[dst].scheduleArrival(arrival{App: app, AtSeconds: land, migrated: true, from: mv.From})
 			lost := g.quanta(dur)
 			g.cMig.Inc()
@@ -632,8 +607,8 @@ func (g *migrator) executeMove(mv contend.Move, epoch int, t float64, spDecide t
 			return 1
 		}
 		// This attempt failed (landing fault, or the destination is dead
-		// by landing time). Retry the next eligible destination under
-		// capped backoff, or roll back once attempts run out.
+		// or taken by landing time). Retry the next eligible destination
+		// under capped backoff, or roll back once attempts run out.
 		next, ok := -1, false
 		if attempt < mc.MaxLandAttempts {
 			next, ok = g.takeSpare(land + backoff)
@@ -666,9 +641,9 @@ func (g *migrator) rollback(rec *MoveRecord, src *serverSim, app string, dur flo
 	rbDur := dur + mc.RollbackPenaltySeconds
 	rbLand := rec.AtSeconds + rbDur
 	target := src.idx
-	if rbLand >= g.sims[target].stop {
-		for j, s := range g.sims {
-			if j != src.idx && rbLand < s.stop && s.host == nil && len(s.pending) == 0 {
+	if rbLand >= src.stop {
+		for j := range g.sims {
+			if g.free(j, rbLand) {
 				target = j
 				break
 			}
@@ -694,5 +669,5 @@ func (g *migrator) rollback(rec *MoveRecord, src *serverSim, app string, dur flo
 // finishMove logs the move record and feeds the auditor's expectations.
 func (g *migrator) finishMove(rec MoveRecord) {
 	g.status.Moves = append(g.status.Moves, rec)
-	g.aud.recordMove(rec)
+	g.f.audit.recordMove(rec)
 }

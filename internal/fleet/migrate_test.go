@@ -8,6 +8,7 @@ import (
 	"repro/internal/contend"
 	"repro/internal/datacenter"
 	"repro/internal/faults"
+	"repro/internal/loadgen"
 )
 
 // migrateConfig is a small saturated fleet where contention detection has
@@ -383,5 +384,50 @@ func TestMoveSurvivesDestinationCrash(t *testing.T) {
 	if got := last.Hosted + last.InFlight + last.Stranded; got != r.report.Instances {
 		t.Fatalf("final census %d (hosted %d + in-flight %d + stranded %d), placed %d",
 			got, last.Hosted, last.InFlight, last.Stranded, r.report.Instances)
+	}
+}
+
+// TestMoveNeverDoubleBooks pins the landing-time freshness check: in this
+// run the first move of epoch 4 rolls back onto survivor 0 because its
+// source dies, and the second move of the same epoch was planned onto
+// server 0 too. The planned destination must be re-checked like any
+// retry spare, or two instances land on one server and one is lost.
+func TestMoveNeverDoubleBooks(t *testing.T) {
+	cfg := Config{
+		Servers:            8,
+		Instances:          6,
+		Webservice:         "web-search",
+		Mix:                datacenter.Mix{Name: "test", Apps: []string{"er-naive", "milc", "libquantum", "sledge"}},
+		Policy:             RoundRobin{},
+		Seed:               20,
+		Workers:            2,
+		SoloSeconds:        0.25,
+		SettleSeconds:      2.5,
+		MeasureSeconds:     0.5,
+		Trace:              loadgen.Offset{Trace: loadgen.Diurnal{Period: 60, Low: 0.25, High: 0.95}, By: 24},
+		PhaseSpreadSeconds: 60,
+		Chaos: &faults.Chaos{
+			ServerCrashProb:         0.15,
+			RestartDelaySeconds:     0.25,
+			RuntimeCrashMTTFSeconds: 8,
+			MoveLandFailProb:        0.3,
+		},
+		Migration: &MigrationConfig{
+			WindowSeconds:   0.25,
+			BlackoutSeconds: 0.1,
+			BudgetPerEpoch:  2,
+			Detector: contend.Config{
+				Window: 2, MinSamples: 2, Cooldown: 1,
+				Quantile: 0.5, Enter: 1.15, Exit: 1.05,
+			},
+		},
+		SLO: &SLOConfig{},
+	}
+	r := doMigrateRun(t, cfg)
+	if r.m.AuditViolations != 0 || !r.report.Clean() {
+		t.Fatalf("audit found %d violations: %+v", r.m.AuditViolations, r.report.Violations)
+	}
+	if r.m.MovesFailed == 0 {
+		t.Fatal("no move failed; the run no longer exercises the rollback path")
 	}
 }

@@ -24,11 +24,14 @@ func TestObservabilityExportsDeterministicAcrossWorkerCounts(t *testing.T) {
 		if _, err := f.Run(); err != nil {
 			t.Fatal(err)
 		}
-		var prof strings.Builder
+		var trace, prof strings.Builder
+		if err := f.Telemetry().WriteChromeTrace(&trace); err != nil {
+			t.Fatal(err)
+		}
 		if err := f.WriteProfile(&prof); err != nil {
 			t.Fatal(err)
 		}
-		return f.Telemetry().ChromeTraceJSON(), prof.String()
+		return trace.String(), prof.String()
 	}
 	trace1, prof1 := run(1)
 	trace8, prof8 := run(8)
@@ -127,5 +130,108 @@ func TestLiveServeEndpoints(t *testing.T) {
 	}
 	if _, body := get("/profile"); !strings.Contains(body, ";") {
 		t.Errorf("post-run /profile carries no stacks:\n%.300s", body)
+	}
+}
+
+// TestControlRoutesMatchExports pins the export table's parity promise.
+// Before the first barrier every control route answers with its row's
+// empty-state body; after a fixed-seed migrate+SLO chaos run each control
+// route serves exactly the bytes the post-run exports write: the
+// accessors' renderings, one postmortem file per bundle, and the table
+// writers behind cmd/fleet's output flags.
+func TestControlRoutesMatchExports(t *testing.T) {
+	f, err := New(sloChaosConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s Content-Type = %q", path, ct)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
+	}
+
+	empty := map[string]string{
+		"/contend":    "{\"epoch\": 0}\n",
+		"/audit":      "{\"epochs_checked\": 0}\n",
+		"/slo":        "{\"epoch\": 0}\n",
+		"/alerts":     "{\"fired\": 0}\n",
+		"/postmortem": "[]\n",
+	}
+	rows := 0
+	for _, e := range Exports {
+		if want, ok := empty[e.Route]; ok {
+			rows++
+			if e.Empty != want {
+				t.Errorf("%s row Empty = %q, want %q", e.Route, e.Empty, want)
+			}
+		}
+	}
+	if rows != len(empty) {
+		t.Fatalf("export table has %d of the %d control routes", rows, len(empty))
+	}
+	for route, want := range empty {
+		if got := get(route); got != want {
+			t.Errorf("GET %s before the first barrier = %q, want %q", route, got, want)
+		}
+	}
+
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var contend, audit, pm strings.Builder
+	if err := f.ContendStatus().WriteJSON(&contend); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AuditReport().WriteJSON(&audit); err != nil {
+		t.Fatal(err)
+	}
+	bundles := f.Postmortems()
+	if len(bundles) == 0 {
+		t.Fatal("chaos run froze no postmortem bundle; /postmortem parity is vacuous")
+	}
+	pm.WriteString("[")
+	for i, b := range bundles {
+		if i > 0 {
+			pm.WriteString(",")
+		}
+		pm.WriteString("\n" + b.JSON())
+	}
+	pm.WriteString("\n]\n")
+	want := map[string]string{
+		"/contend":    contend.String(),
+		"/audit":      audit.String(),
+		"/slo":        f.SLOStatusJSON(),
+		"/alerts":     f.AlertLogJSON(),
+		"/postmortem": pm.String(),
+	}
+	for route, w := range want {
+		if got := get(route); got != w {
+			t.Errorf("GET %s after the run differs from its export:\n-- route --\n%.400s\n-- export --\n%.400s", route, got, w)
+		}
+		if w == empty[route] {
+			t.Errorf("%s still serves its empty-state body after the run", route)
+		}
+	}
+	for _, e := range Exports {
+		if e.Name == "" || want[e.Route] == "" {
+			continue
+		}
+		var b strings.Builder
+		if err := e.Write(f, &b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != want[e.Route] {
+			t.Errorf("-%s writes different bytes from %s", e.Name, e.Route)
+		}
 	}
 }

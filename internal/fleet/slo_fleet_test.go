@@ -172,16 +172,16 @@ func TestHealthDegraded(t *testing.T) {
 	if st, _ := f.health(); st != "ok" {
 		t.Errorf("fresh fleet health = %s, want ok", st)
 	}
-	f.contendStat = &ContendStatus{BreakerState: "open"}
+	f.snap.contend = &ContendStatus{BreakerState: "open"}
 	if st, reason := f.health(); st != "degraded" || !strings.Contains(reason, "breaker") {
 		t.Errorf("open breaker health = %s (%s), want degraded", st, reason)
 	}
-	f.contendStat.BreakerState = "closed"
-	f.auditStat = &AuditReport{Violations: make([]AuditViolation, 1)}
+	f.snap.contend.BreakerState = "closed"
+	f.snap.audit = &AuditReport{Violations: make([]AuditViolation, 1)}
 	if st, reason := f.health(); st != "degraded" || !strings.Contains(reason, "audit") {
 		t.Errorf("audit-violation health = %s (%s), want degraded", st, reason)
 	}
-	f.auditStat = &AuditReport{}
+	f.snap.audit = &AuditReport{}
 	if st, _ := f.health(); st != "ok" {
 		t.Errorf("recovered health = %s, want ok", st)
 	}

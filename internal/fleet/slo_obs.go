@@ -36,7 +36,7 @@ import (
 type SLOConfig struct {
 	// WindowSeconds is the evaluation-epoch length (default 0.5). With
 	// Migration set the SLO engine always shares the migration barrier
-	// cadence — one epoch clock per run.
+	// cadence — one epoch clock per run (see Config.withDefaults).
 	WindowSeconds float64
 	// Specs are the SLOs to evaluate (nil = DefaultSLOSpecs()).
 	Specs []slo.Spec
@@ -59,11 +59,8 @@ type SLOConfig struct {
 	WindowEpochs int
 }
 
-func (sc SLOConfig) withDefaults(c Config) SLOConfig {
-	if c.Migration != nil {
-		// One epoch clock per run: SLO rides the migration barriers.
-		sc.WindowSeconds = c.Migration.WindowSeconds
-	} else if sc.WindowSeconds <= 0 {
+func (sc SLOConfig) withDefaults() SLOConfig {
+	if sc.WindowSeconds <= 0 {
 		sc.WindowSeconds = 0.5
 	}
 	if sc.Specs == nil {
@@ -283,7 +280,7 @@ func (o *sloObserver) observeSLIs(epoch int, t float64) (newViolations bool) {
 }
 
 // barrier is the observer's single-threaded epoch step: SLIs, full metric
-// sample, rule evaluation, flight-recorder captures, publication.
+// sample, rule evaluation, flight-recorder captures.
 func (o *sloObserver) barrier(epoch int, t float64) {
 	newViolations := o.observeSLIs(epoch, t)
 	regs := make([]*telemetry.Registry, 0, len(o.sims)+1)
@@ -310,31 +307,20 @@ func (o *sloObserver) barrier(epoch int, t float64) {
 		}
 	}
 	o.gFiring.Set(float64(firing))
-	o.publish()
 }
 
-// publish deposits rendered snapshots for the live endpoints.
-func (o *sloObserver) publish() {
-	statJSON := o.eng.StatusJSON()
-	logJSON := o.eng.Log().JSON()
-	bundles := o.rec.Bundles()
-	f := o.f
-	f.contendMu.Lock()
-	f.sloStatJSON = statJSON
-	f.alertLogJSON = logJSON
-	f.sloBundles = bundles
-	f.contendMu.Unlock()
-}
-
-// capture freezes one postmortem bundle.
+// capture freezes one postmortem bundle. The contend and audit sections
+// render this barrier's step state, which is published only after every
+// step has run, through the same export rows that serve it.
 func (o *sloObserver) capture(reason string, epoch int, t float64) {
+	live := o.f.control()
 	secs := []slo.Section{
 		{Name: "slo", JSON: o.eng.StatusJSON()},
 		{Name: "tsdb_window", JSON: o.tsdbWindowJSON()},
 		{Name: "trace_tail", JSON: o.traceTailJSON()},
 		{Name: "open_spans", JSON: o.openSpansJSON()},
-		{Name: "contend", JSON: o.contendJSON()},
-		{Name: "audit", JSON: o.auditJSON()},
+		{Name: "contend", JSON: contendExport.render(&live)},
+		{Name: "audit", JSON: auditExport.render(&live)},
 	}
 	if b := o.rec.Capture(reason, epoch, t, secs); b != nil {
 		o.cBundles.Inc()
@@ -406,50 +392,6 @@ func (o *sloObserver) openSpansJSON() string {
 	}
 	b.WriteString("\n  ]")
 	return b.String()
-}
-
-func (o *sloObserver) contendJSON() string {
-	st := o.f.ContendStatus()
-	if st == nil {
-		return "{\"epoch\": 0}"
-	}
-	var b strings.Builder
-	st.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}
-
-func (o *sloObserver) auditJSON() string {
-	rep := o.f.AuditReport()
-	if rep == nil {
-		return "{\"epochs_checked\": 0}"
-	}
-	var b strings.Builder
-	rep.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}
-
-// SLOStatusJSON returns the engine's latest published status ("" before the
-// first barrier, or with SLO off). Safe from any goroutine.
-func (f *Fleet) SLOStatusJSON() string {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	return f.sloStatJSON
-}
-
-// AlertLogJSON returns the latest published alert log ("" before the first
-// barrier, or with SLO off). Safe from any goroutine.
-func (f *Fleet) AlertLogJSON() string {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	return f.alertLogJSON
-}
-
-// Postmortems returns the flight recorder's frozen bundles (capture order).
-// Safe from any goroutine.
-func (f *Fleet) Postmortems() []*slo.Bundle {
-	f.contendMu.Lock()
-	defer f.contendMu.Unlock()
-	return append([]*slo.Bundle(nil), f.sloBundles...)
 }
 
 // AlertTransitions returns every SLO lifecycle transition in epoch order

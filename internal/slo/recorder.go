@@ -2,7 +2,6 @@ package slo
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/telemetry"
@@ -27,11 +26,11 @@ type Bundle struct {
 	Sections []Section
 }
 
-// WriteJSON renders the bundle as one deterministic JSON document. Section
-// bodies are embedded raw, in capture order.
-func (b *Bundle) WriteJSON(w io.Writer) error {
+// JSON renders the bundle as one deterministic JSON document ("" for a nil
+// bundle). Section bodies are embedded raw, in capture order.
+func (b *Bundle) JSON() string {
 	if b == nil {
-		return nil
+		return ""
 	}
 	var sb strings.Builder
 	sb.WriteString("{\n")
@@ -48,14 +47,6 @@ func (b *Bundle) WriteJSON(w io.Writer) error {
 		sb.WriteString(strings.TrimRight(s.JSON, "\n"))
 	}
 	sb.WriteString("\n  }\n}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
-// JSON renders WriteJSON to a string.
-func (b *Bundle) JSON() string {
-	var sb strings.Builder
-	b.WriteJSON(&sb) //nolint:errcheck // strings.Builder never errors
 	return sb.String()
 }
 

@@ -21,7 +21,6 @@ package slo
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/telemetry"
@@ -311,9 +310,9 @@ type AlertLog struct {
 	Resolved    int
 }
 
-// WriteJSON exports the log deterministically: fixed field order, entries
-// in evaluation order, floats via telemetry.FormatFloat.
-func (l AlertLog) WriteJSON(w io.Writer) error {
+// JSON exports the log deterministically: fixed field order, entries in
+// evaluation order, floats via telemetry.FormatFloat.
+func (l AlertLog) JSON() string {
 	var b strings.Builder
 	b.WriteString("{\n")
 	fmt.Fprintf(&b, `  "fired": %d,`+"\n", l.Fired)
@@ -328,27 +327,17 @@ func (l AlertLog) WriteJSON(w io.Writer) error {
 			tr.Severity, telemetry.FormatFloat(tr.Burn), tr.Rule)
 	}
 	b.WriteString("\n  ]\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// JSON renders WriteJSON to a string.
-func (l AlertLog) JSON() string {
-	var b strings.Builder
-	l.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
 	return b.String()
 }
 
-// WriteStatusJSON exports the engine's current per-spec states — the /slo
+// StatusJSON exports the engine's current per-spec states — the /slo
 // endpoint body. Specs render in declaration order.
-func (e *Engine) WriteStatusJSON(w io.Writer) error {
+func (e *Engine) StatusJSON() string {
+	if e == nil {
+		return "{\n  \"epoch\": 0,\n  \"specs\": []\n}\n"
+	}
 	var b strings.Builder
 	b.WriteString("{\n")
-	if e == nil {
-		b.WriteString("  \"epoch\": 0,\n  \"specs\": []\n}\n")
-		_, err := io.WriteString(w, b.String())
-		return err
-	}
 	fmt.Fprintf(&b, `  "epoch": %d,`+"\n", e.lastEpoch)
 	fmt.Fprintf(&b, `  "t_seconds": %s,`+"\n", telemetry.FormatFloat(e.lastT))
 	b.WriteString(`  "specs": [`)
@@ -362,13 +351,5 @@ func (e *Engine) WriteStatusJSON(w io.Writer) error {
 			st.sinceEpoch, telemetry.FormatFloat(st.lastBurn), st.fired)
 	}
 	b.WriteString("\n  ]\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// StatusJSON renders WriteStatusJSON to a string.
-func (e *Engine) StatusJSON() string {
-	var b strings.Builder
-	e.WriteStatusJSON(&b) //nolint:errcheck // strings.Builder never errors
 	return b.String()
 }

@@ -343,13 +343,3 @@ func (r *Registry) WriteChromeTrace(w io.Writer) error {
 	_, err := io.WriteString(w, "\n]}\n")
 	return err
 }
-
-// ChromeTraceJSON renders WriteChromeTrace to a string ("" on nil).
-func (r *Registry) ChromeTraceJSON() string {
-	if r == nil {
-		return ""
-	}
-	var b strings.Builder
-	r.WriteChromeTrace(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}

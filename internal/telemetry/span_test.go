@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// chromeTrace renders r's Chrome trace-event export.
+func chromeTrace(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestSpanIDsSequentialAndDeterministic(t *testing.T) {
 	mk := func() *Registry {
 		r := New(Config{})
@@ -31,7 +41,7 @@ func TestSpanIDsSequentialAndDeterministic(t *testing.T) {
 	if as[1].Duration() != 40 {
 		t.Errorf("child duration = %d, want 40", as[1].Duration())
 	}
-	if a.ChromeTraceJSON() != b.ChromeTraceJSON() {
+	if chromeTrace(t, a) != chromeTrace(t, b) {
 		t.Error("identical span trees exported different Chrome JSON")
 	}
 }
@@ -117,7 +127,7 @@ func TestSpanMergeRemapDeterministic(t *testing.T) {
 		return agg
 	}
 	a, b := merge(), merge()
-	if a.ChromeTraceJSON() != b.ChromeTraceJSON() {
+	if chromeTrace(t, a) != chromeTrace(t, b) {
 		t.Fatal("identical merges exported different Chrome JSON")
 	}
 	sp := a.Spans()
@@ -174,7 +184,7 @@ func TestChromeTraceShape(t *testing.T) {
 	r.EndSpan(kid, 150)
 	// root left open on purpose.
 	r.Emit(Event{At: 120, Kind: EvDispatch, Core: 2, Func: "hot"})
-	out := r.ChromeTraceJSON()
+	out := chromeTrace(t, r)
 	if !strings.HasPrefix(out, `{"traceEvents":[`) || !strings.HasSuffix(out, "\n]}\n") {
 		t.Fatalf("not a trace-event envelope:\n%s", out)
 	}
@@ -205,7 +215,7 @@ func TestRegistryCloneIsDeep(t *testing.T) {
 	sp := r.StartSpan("pc3d.search", 1, 0)
 	r.SpanAttrs(sp, Str("k", "v"))
 	cl := r.Clone()
-	before := cl.PrometheusText() + cl.JSONL() + cl.ChromeTraceJSON()
+	before := cl.PrometheusText() + cl.JSONL() + chromeTrace(t, cl)
 	// Mutate the original in every store; the clone must not move.
 	r.Counter("core", "compiles_total", "h").Inc()
 	r.Gauge("pc3d", "nap_intensity", "h").Set(0.9)
@@ -213,7 +223,7 @@ func TestRegistryCloneIsDeep(t *testing.T) {
 	r.Emit(Event{At: 9, Kind: EvNap})
 	r.SpanAttrs(sp, Str("k2", "v2"))
 	r.EndSpan(sp, 77)
-	after := cl.PrometheusText() + cl.JSONL() + cl.ChromeTraceJSON()
+	after := cl.PrometheusText() + cl.JSONL() + chromeTrace(t, cl)
 	if before != after {
 		t.Error("mutating the original changed the clone")
 	}

@@ -357,10 +357,3 @@ func (d *Store) writeJSON(w io.Writer, afterEpoch int) error {
 	_, err := io.WriteString(w, b.String())
 	return err
 }
-
-// JSON renders WriteJSON to a string.
-func (d *Store) JSON() string {
-	var b strings.Builder
-	d.WriteJSON(&b) //nolint:errcheck // strings.Builder never errors
-	return b.String()
-}

@@ -122,7 +122,14 @@ func TestWriteJSONDeterministicAndWindowed(t *testing.T) {
 		}
 		return d
 	}
-	a, b := build().JSON(), build().JSON()
+	export := func(d *Store) string {
+		var b strings.Builder
+		if err := d.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	a, b := export(build()), export(build())
 	if a != b {
 		t.Fatal("identical stores exported different bytes")
 	}
